@@ -15,9 +15,10 @@ Injection points currently wired into the harness:
 ========== =========================== ====================================
 point      label                       where
 ========== =========================== ====================================
-``worker``  ``<workload>/<fence mode>`` start of a simulation group
+``worker``  ``<workload>/<fence mode>`` start of a simulation group,
+                                        matrix and service batches alike
                                         (:func:`repro.harness.parallel.
-                                        _simulate_group`)
+                                        simulate_group`)
 ``run_one`` ``<workload>/<config>``     start of one simulation
 ``build``   ``<workload>/<fence mode>`` start of a trace build
 ``store``   ``<kind>:<key>``            after a cache entry is written

@@ -135,9 +135,6 @@ def describe_env() -> Tuple[EnvKnob, ...]:
         EnvKnob("REPRO_BACKOFF", "float",
                 "%g" % supervisor.DEFAULT_BACKOFF_S,
                 "Base retry backoff in seconds, doubled per failure."),
-        EnvKnob("REPRO_SHM", "flag", "0",
-                "Ship built traces to matrix workers via parent-owned "
-                "shared-memory segments."),
         EnvKnob("REPRO_PROFILE", "flag", "0",
                 "Dump per-phase cProfile stats for build/simulate."),
         EnvKnob("REPRO_PROFILE_DIR", "str", DEFAULT_PROFILE_DIR,

@@ -5,12 +5,15 @@ simulations; :func:`run_matrix_parallel` fans them out over a process pool
 and reuses previously computed results from the persistent
 :class:`~repro.harness.result_cache.ResultCache`.
 
-Work is partitioned by **(workload, fence mode)** rather than by single
-run: configurations sharing a fence mode (IQ and WB both run the EDE
-binary) run in the same worker so the dynamic trace is built once per
-group, exactly as the serial :func:`~repro.harness.runner.run_matrix`
-shares traces.  Each worker returns its group as one pickled object graph,
-which preserves the ``result.built`` identity-sharing between the group's
+Work is partitioned by **(workload, fence mode, scale)** rather than by
+single run (:func:`group_cells`): configurations sharing a fence mode (IQ
+and WB both run the EDE binary) run in the same worker so the dynamic
+trace is built once per group, exactly as the serial
+:func:`~repro.harness.runner.run_matrix` shares traces.
+:func:`simulate_group` is the one worker that does this, for the matrix
+and for the service's simulate batches (:mod:`repro.service.scheduler`)
+alike.  Each worker returns its group as one pickled object graph, which
+preserves the ``result.built`` identity-sharing between the group's
 results.  Results are reassembled in the caller's (workload, config)
 order, so output is deterministic and equal to a serial run.
 
@@ -40,9 +43,6 @@ Environment variables:
   :mod:`repro.harness.result_cache`.
 * ``REPRO_TRACE_CACHE=0`` — disable the trace cache (see
   :mod:`repro.harness.trace_cache`).
-* ``REPRO_SHM=1`` — publish each group's built trace into a parent-owned
-  shared-memory segment instead of having workers load (or build) their
-  own copy (see :mod:`repro.harness.shm_transport`).
 """
 
 from __future__ import annotations
@@ -50,16 +50,12 @@ from __future__ import annotations
 import dataclasses
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chaos import chaos_point
 from repro.harness.configs import A72Params, Configuration, DEFAULT_PARAMS
+from repro.harness.envutil import env_int
 from repro.harness.result_cache import ResultCache, cache_enabled_by_env
-from repro.harness.shm_transport import (
-    TraceTransport,
-    attach_object,
-    shm_enabled_by_env,
-)
 from repro.harness.supervisor import (
     MatrixReport,
     SupervisorConfig,
@@ -107,16 +103,8 @@ class RunSummary:
 def resolve_workers(max_workers: Optional[int] = None) -> int:
     """Worker count: explicit argument > ``REPRO_PARALLEL`` > CPU count."""
     if max_workers is None:
-        env = os.environ.get("REPRO_PARALLEL")
-        if env:
-            try:
-                max_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    "REPRO_PARALLEL must be an integer, got %r" % env
-                ) from None
-        else:
-            max_workers = os.cpu_count() or 1
+        max_workers = env_int("REPRO_PARALLEL", os.cpu_count() or 1,
+                              minimum=0)
     return max(1, max_workers)
 
 
@@ -130,31 +118,68 @@ def last_matrix_report() -> Optional[MatrixReport]:
     return _LAST_REPORT
 
 
-def _simulate_group(task: Tuple[str, Tuple[Configuration, ...],
-                                workload_base.Scale, A72Params,
-                                Optional[str], Optional[str]]
-                    ) -> Dict[str, object]:
-    """Worker: run every configuration of one (workload, fence mode) group.
+#: Trace-sharing identity of a cell: (workload, fence mode, scale).
+GroupKey = Tuple[str, str, workload_base.Scale]
 
-    With a shared-memory segment name in the task (``REPRO_SHM=1``), the
-    group's :class:`BuiltWorkload` is attached and deserialized from the
-    parent's segment; otherwise it is loaded from the trace cache
-    (building and storing it only on a miss).  Either way one built
-    workload is shared across the group's configurations, mirroring the
-    serial runner.  Module-level so it pickles for
-    :class:`~concurrent.futures.ProcessPoolExecutor`.
+
+def group_cells(cells: Iterable[tuple]) -> Dict[GroupKey, list]:
+    """Group ``(workload, config, scale, item)`` cells by
+    (workload, fence mode, scale), keeping first-seen order.
+
+    Each group is one :func:`simulate_group` task: one trace build
+    serves every configuration in it.
     """
-    from repro.harness.runner import run_one
+    groups: Dict[GroupKey, list] = {}
+    for workload, config, scale, item in cells:
+        groups.setdefault((workload, config.fence_mode, scale),
+                          []).append(item)
+    return groups
 
+
+def open_caches(cache: Optional[bool] = None,
+                cache_dir: Optional[os.PathLike] = None,
+                trace_cache: Optional[bool] = None,
+                ) -> Tuple[Optional[ResultCache], Optional[str]]:
+    """The result cache and trace directory a front end runs with.
+
+    ``cache=None`` follows ``REPRO_RESULT_CACHE`` and ``trace_cache=None``
+    follows ``REPRO_TRACE_CACHE`` (both on by default), except that an
+    explicit ``cache=False`` also disables the trace cache unless
+    ``trace_cache`` is set explicitly.  Trace entries live under
+    ``cache_dir``/traces when ``cache_dir`` is given, the default trace
+    directory otherwise.
+    """
+    if trace_cache is None:
+        trace_cache = cache is not False and trace_cache_enabled_by_env()
+    if cache is None:
+        cache = cache_enabled_by_env()
+    store = ResultCache(cache_dir) if cache else None
+    trace_dir: Optional[str] = None
+    if trace_cache:
+        trace_dir = str(Path(cache_dir) / TRACE_SUBDIR
+                        if cache_dir is not None else TraceCache().root)
+    return store, trace_dir
+
+
+def simulate_group(task: Tuple[str, Tuple[Configuration, ...],
+                               workload_base.Scale, A72Params,
+                               Optional[str]]) -> Dict[str, object]:
+    """Worker: run every configuration of one (workload, fence mode,
+    scale) group against one built trace.
+
+    The trace is loaded from the trace cache under ``trace_dir`` (built
+    and stored only on a miss), or built in-process when ``trace_dir``
+    is None; either way one built workload is shared across the group's
+    configurations, mirroring the serial runner.  Module-level so it
+    pickles for :class:`~concurrent.futures.ProcessPoolExecutor`.
+    """
+    from repro.harness import runner
     from repro.harness.profiling import maybe_profile
 
-    workload, configs, scale, params, trace_dir, shm_name = task
+    workload, configs, scale, params, trace_dir = task
     mode = configs[0].fence_mode
     chaos_point("worker", "%s/%s" % (workload, mode))
-    if shm_name is not None:
-        with maybe_profile("%s-%s" % (workload, mode), "load"):
-            built = attach_object(shm_name)
-    elif trace_dir is not None:
+    if trace_dir is not None:
         # load_or_build profiles its own load/build phases.
         built = workload_base.build(workload, mode, scale,
                                     cache=TraceCache(trace_dir),
@@ -163,7 +188,8 @@ def _simulate_group(task: Tuple[str, Tuple[Configuration, ...],
         with maybe_profile("%s-%s" % (workload, mode), "build"):
             built = workload_base.build(workload, mode, scale, params=params)
     return {
-        config.name: run_one(workload, config, scale, params, built=built)
+        config.name: runner.run_one(workload, config, scale, params,
+                                    built=built)
         for config in configs
     }
 
@@ -184,15 +210,10 @@ def run_matrix_parallel(workloads: Sequence[str],
 
     Drop-in replacement for :func:`repro.harness.runner.run_matrix`: same
     result-dict shape, deterministic (workload, config) ordering, equal
-    results.  ``cache=None`` follows ``REPRO_RESULT_CACHE`` (on by
-    default); ``max_workers=None`` follows ``REPRO_PARALLEL`` (one worker
+    results.  ``max_workers=None`` follows ``REPRO_PARALLEL`` (one worker
     per CPU by default, ``<=1`` selects the in-process serial path).
-
-    ``trace_cache=None`` follows ``REPRO_TRACE_CACHE`` (on by default),
-    except that an explicit ``cache=False`` — "no disk caching, please" —
-    also disables the trace cache unless ``trace_cache`` is set
-    explicitly.  Trace entries live under ``cache_dir``/traces when
-    ``cache_dir`` is given, the default trace directory otherwise.
+    ``cache``, ``cache_dir`` and ``trace_cache`` select the result cache
+    and trace directory as :func:`open_caches` describes.
 
     ``timeout``/``retries``/``backoff`` override ``REPRO_TIMEOUT`` /
     ``REPRO_RETRIES`` / ``REPRO_BACKOFF`` for this call (see
@@ -207,19 +228,7 @@ def run_matrix_parallel(workloads: Sequence[str],
     global _LAST_REPORT
     workloads = list(workloads)
     configs = list(configs)
-    explicit_no_cache = cache is False
-    if cache is None:
-        cache = cache_enabled_by_env()
-    store: Optional[ResultCache] = ResultCache(cache_dir) if cache else None
-
-    if trace_cache is None:
-        trace_cache = False if explicit_no_cache else trace_cache_enabled_by_env()
-    trace_dir: Optional[str] = None
-    if trace_cache:
-        if cache_dir is not None:
-            trace_dir = str(Path(cache_dir) / TRACE_SUBDIR)
-        else:
-            trace_dir = str(TraceCache().root)
+    store, trace_dir = open_caches(cache, cache_dir, trace_cache)
 
     results: Dict[str, Dict[str, object]] = {
         workload: {} for workload in workloads
@@ -227,7 +236,7 @@ def run_matrix_parallel(workloads: Sequence[str],
 
     # Resolve cache hits first so only genuinely missing runs are grouped.
     keys: Dict[Tuple[str, str], str] = {}
-    missing: List[Tuple[str, Configuration]] = []
+    missing: List[tuple] = []
     resumed = 0
     for workload in workloads:
         for config in configs:
@@ -239,35 +248,12 @@ def run_matrix_parallel(workloads: Sequence[str],
                     results[workload][config.name] = cached
                     resumed += 1
                     continue
-            missing.append((workload, config))
-
-    # Group misses by (workload, fence mode): one trace build per group.
-    groups: Dict[Tuple[str, str], List[Configuration]] = {}
-    for workload, config in missing:
-        groups.setdefault((workload, config.fence_mode), []).append(config)
-
-    # With REPRO_SHM on, the parent materializes each group's built
-    # workload once and publishes it into a shared-memory segment; the
-    # task then carries the segment name and the worker attaches instead
-    # of loading or rebuilding.  Segments survive worker retries and
-    # chaos kills (they are parent-owned), and the try/finally below —
-    # plus the transport's own atexit hook — guarantees they are unlinked
-    # however the supervised run ends.
-    transport: Optional[TraceTransport] = None
-    segment_names: Dict[Tuple[str, str], str] = {}
-    if groups and shm_enabled_by_env():
-        transport = TraceTransport()
-        group_store = TraceCache(trace_dir) if trace_dir is not None else None
-        for workload, mode in groups:
-            built = workload_base.build(workload, mode, scale,
-                                        cache=group_store, params=params)
-            segment_names[(workload, mode)] = transport.publish_object(built)
+            missing.append((workload, config, scale, config))
 
     tasks = [
         ("%s/%s" % (workload, mode),
-         (workload, tuple(group_configs), scale, params, trace_dir,
-          segment_names.get((workload, mode))))
-        for (workload, mode), group_configs in groups.items()
+         (workload, tuple(group_configs), scale, params, trace_dir))
+        for (workload, mode, _), group_configs in group_cells(missing).items()
     ]
 
     def _persist(task_id: str, per_config: Dict[str, object]) -> None:
@@ -282,12 +268,8 @@ def run_matrix_parallel(workloads: Sequence[str],
     config_ = SupervisorConfig.from_env(
         max_workers=resolve_workers(max_workers),
         timeout=timeout, retries=retries, backoff=backoff)
-    try:
-        _, report = run_supervised(tasks, _simulate_group, config_,
-                                   on_result=_persist)
-    finally:
-        if transport is not None:
-            transport.close()
+    _, report = run_supervised(tasks, simulate_group, config_,
+                               on_result=_persist)
     report.resumed_from_cache = resumed
     _LAST_REPORT = report
     if not report.all_succeeded:

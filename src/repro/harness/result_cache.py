@@ -150,6 +150,27 @@ def stable_hash64(text: str) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def result_key(workload: str, config, scale, params,
+               fingerprint: Optional[str] = None) -> str:
+    """Content-addressed key for one (workload, config, scale, params)
+    simulation under the current source tree.
+
+    The one key formula for simulation results: :meth:`ResultCache.key`
+    and the service's :func:`repro.service.jobs.result_cache_key` both
+    delegate here, so the matrix and the service share one cache
+    population.  The multicore env signature (interleave policy/seed,
+    coherence toggle — :mod:`repro.multicore.knobs`) is part of the key
+    because those knobs change multi-core builds and simulations without
+    appearing in scale or params.
+    """
+    from repro.multicore.knobs import multicore_env_signature
+
+    if fingerprint is None:
+        fingerprint = source_fingerprint()
+    return canonical_key(fingerprint, workload, config, scale, params,
+                         multicore_env_signature())
+
+
 class PickleStore:
     """Content-addressed on-disk store of pickled objects.
 
@@ -284,20 +305,9 @@ class ResultCache(PickleStore):
 
     def key(self, workload: str, config, scale, params,
             fingerprint: Optional[str] = None) -> str:
-        """Content-addressed key for one (workload, config, scale, params)
-        simulation under the current source tree.
-
-        The multicore env signature (interleave policy/seed, coherence
-        toggle — :mod:`repro.multicore.knobs`) is part of the key because
-        those knobs change multi-core builds and simulations without
-        appearing in scale or params.
-        """
-        from repro.multicore.knobs import multicore_env_signature
-
-        if fingerprint is None:
-            fingerprint = source_fingerprint()
-        return canonical_key(fingerprint, workload, config, scale, params,
-                             multicore_env_signature())
+        """Content-addressed key for one simulation (see
+        :func:`result_key`)."""
+        return result_key(workload, config, scale, params, fingerprint)
 
 
 class ReportCache(PickleStore):

@@ -167,18 +167,19 @@ def run_matrix(workloads: List[str], configs: List[Configuration],
     Traces are rebuilt per fence mode (shared between IQ and WB, which run
     the same program on different hardware).
 
-    ``parallel=True`` (or setting ``REPRO_PARALLEL``) and ``cache=True``
-    delegate to the :mod:`repro.harness.parallel` engine, which fans the
-    independent simulations out over a process pool and/or reuses results
-    from the persistent on-disk cache; output is deterministic and equal
-    to the serial path.  The default — no arguments, no env vars — is the
-    plain in-process serial run with no caching.
+    ``parallel=True`` (or setting ``REPRO_PARALLEL``) with more than one
+    resolved worker, and ``cache=True``, delegate to the
+    :mod:`repro.harness.parallel` engine, which fans the independent
+    simulations out over a process pool and/or reuses results from the
+    persistent on-disk cache; output is deterministic and equal to the
+    serial path.  The default — no arguments, no env vars, or a single
+    worker — is the plain in-process serial run with no caching.
     """
+    from repro.harness.parallel import resolve_workers, run_matrix_parallel
+
     if parallel is None:
         parallel = bool(os.environ.get("REPRO_PARALLEL"))
-    if parallel or cache:
-        from repro.harness.parallel import run_matrix_parallel
-
+    if (parallel and resolve_workers(max_workers) > 1) or cache:
         return run_matrix_parallel(
             list(workloads), list(configs), scale, params,
             max_workers=max_workers, cache=cache)

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 from repro.harness.configs import CONFIG_BY_NAME, DEFAULT_PARAMS, Configuration
 from repro.harness.result_cache import (
     canonical_key,
+    result_key,
     source_fingerprint,
 )
 from repro.workloads import base as workload_base
@@ -167,14 +168,11 @@ class JobSpec:
 
 def result_cache_key(spec: JobSpec, params=DEFAULT_PARAMS) -> str:
     """The :class:`~repro.harness.result_cache.ResultCache` key this
-    simulate job's result lives under — identical to
-    ``ResultCache.key(workload, config, scale, params)``, so the service
-    and the batch engines share one cache population."""
-    from repro.multicore.knobs import multicore_env_signature
-
-    return canonical_key(source_fingerprint(), spec.workload,
-                         spec.configuration, spec.scale, params,
-                         multicore_env_signature())
+    simulate job's result lives under: the same
+    :func:`~repro.harness.result_cache.result_key` that
+    ``ResultCache.key`` uses, so the service and the batch engines share
+    one cache population."""
+    return result_key(spec.workload, spec.configuration, spec.scale, params)
 
 
 def optimize_cache_key(spec: JobSpec, params=DEFAULT_PARAMS) -> str:

@@ -24,32 +24,30 @@ dispatch loop on the event loop:
    :func:`~repro.harness.supervisor.run_supervised` pool (wall-clock
    timeouts, retry budgets, pool respawn on worker death, degrade to
    serial), in a dedicated dispatch thread so the event loop keeps
-   serving HTTP while simulations run.  Group results are persisted to
-   the result cache the moment they complete, so everything the service
-   computes is reusable by later jobs *and* by the offline bench/
-   experiment entry points — one shared cache population.
+   serving HTTP while simulations run.  Simulate groups run the matrix's
+   own worker, :func:`~repro.harness.parallel.simulate_group`.  Group
+   results are persisted to the result cache on the dispatch thread the
+   moment they complete — only job-state transitions are marshalled
+   onto the event loop — so everything the service computes is reusable
+   by later jobs *and* by the offline bench/experiment entry points —
+   one shared cache population.
 """
 
 from __future__ import annotations
 
 import asyncio
-import pathlib
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
-from repro.harness.configs import CONFIG_BY_NAME, DEFAULT_PARAMS
-from repro.harness.parallel import resolve_workers
-from repro.harness.result_cache import (
-    ReportCache,
-    ResultCache,
-    cache_enabled_by_env,
+from repro.harness.configs import DEFAULT_PARAMS
+from repro.harness.parallel import (
+    group_cells,
+    open_caches,
+    resolve_workers,
+    simulate_group,
 )
+from repro.harness.result_cache import ReportCache
 from repro.harness.supervisor import SupervisorConfig, run_supervised
-from repro.harness.trace_cache import (
-    TRACE_SUBDIR,
-    TraceCache,
-    trace_cache_enabled_by_env,
-)
 from repro.service.jobs import (
     Job,
     JobSpec,
@@ -88,10 +86,8 @@ def _execute_task(payload: tuple):
     """Worker for one batch task; module-level so it pickles for the
     supervised process pool.
 
-    ``("simulate", workload, config_names, scale_tuple, params,
-    trace_dir)`` builds the group's trace once (served from the trace
-    cache when possible) and simulates every configuration against it —
-    exactly the serial runner's trace sharing, so results are
+    ``("simulate", group_task)`` forwards to the matrix worker,
+    :func:`~repro.harness.parallel.simulate_group`, so results are
     bit-identical to :func:`repro.harness.runner.run_matrix`.
 
     ``("analyze", workload, mode, scale_tuple)`` runs the static
@@ -104,18 +100,7 @@ def _execute_task(payload: tuple):
     """
     kind = payload[0]
     if kind == KIND_SIMULATE:
-        from repro.harness.runner import run_one
-
-        _, workload, config_names, scale_tuple, params, trace_dir = payload
-        scale = workload_base.Scale(*scale_tuple)
-        configs = [CONFIG_BY_NAME[name] for name in config_names]
-        store = TraceCache(trace_dir) if trace_dir is not None else None
-        built = workload_base.build(workload, configs[0].fence_mode, scale,
-                                    cache=store, params=params)
-        return {
-            config.name: run_one(workload, config, scale, params, built=built)
-            for config in configs
-        }
+        return simulate_group(payload[1])
     if kind == KIND_OPTIMIZE:
         from repro.analysis.autotune import autotune_workload
 
@@ -159,21 +144,10 @@ class Scheduler:
         self.max_history = max_history
         self._supervisor_overrides = (timeout, retries, backoff)
 
-        if cache is None:
-            cache = cache_enabled_by_env()
-        self.store: Optional[ResultCache] = (
-            ResultCache(cache_dir) if cache else None)
+        self.store, self.trace_dir = open_caches(cache, cache_dir,
+                                                 trace_cache)
         self.report_store: Optional[ReportCache] = (
-            ReportCache(cache_dir) if cache else None)
-        if trace_cache is None:
-            trace_cache = False if cache is False else \
-                trace_cache_enabled_by_env()
-        self.trace_dir: Optional[str] = None
-        if trace_cache:
-            if cache_dir is not None:
-                self.trace_dir = str(pathlib.Path(cache_dir) / TRACE_SUBDIR)
-            else:
-                self.trace_dir = str(TraceCache().root)
+            ReportCache(self.store.root) if self.store is not None else None)
 
         self.jobs: Dict[str, Job] = {}
         self._wake = asyncio.Event()
@@ -334,19 +308,18 @@ class Scheduler:
         """Group a batch into supervised tasks.
 
         Simulate jobs sharing (workload, fence mode, scale) become one
-        task — one trace build serves all their configurations, the
-        grouping ``run_matrix_parallel`` uses.  Analysis jobs are one
-        task each.
+        task — one trace build serves all their configurations, grouped
+        by :func:`~repro.harness.parallel.group_cells` as
+        ``run_matrix_parallel`` does.  Analysis jobs are one task each.
         """
         tasks: List[Tuple[str, tuple]] = []
         jobmap: Dict[str, List[Job]] = {}
-        sim_groups: Dict[tuple, List[Job]] = {}
+        sims: List[tuple] = []
         for job in batch:
             spec = job.spec
             if spec.kind == KIND_SIMULATE:
-                key = (spec.workload, spec.configuration.fence_mode,
-                       spec.ops_per_txn, spec.txns, spec.seed, spec.cores)
-                sim_groups.setdefault(key, []).append(job)
+                sims.append((spec.workload, spec.configuration, spec.scale,
+                             job))
             elif spec.kind == KIND_OPTIMIZE:
                 task_id = "opt:%s/%s@%dx%d#%d%s b%d" % (
                     spec.workload, spec.config, spec.ops_per_txn, spec.txns,
@@ -365,18 +338,17 @@ class Scheduler:
                                         (spec.ops_per_txn, spec.txns,
                                          spec.seed))))
                 jobmap[task_id] = [job]
-        for (workload, mode, ops, txns, seed, cores), jobs in \
-                sim_groups.items():
+        for (workload, mode, scale), jobs in group_cells(sims).items():
             # The seed (and core count) is part of the identity: two
             # groups differing only by seed are distinct tasks, and a
             # colliding ID would let one group's completion overwrite
             # the other's in jobmap.
-            task_id = "sim:%s/%s@%dx%d#%d/c%d" % (workload, mode, ops, txns,
-                                                  seed, cores)
-            config_names = tuple(job.spec.config for job in jobs)
-            tasks.append((task_id, (KIND_SIMULATE, workload, config_names,
-                                    (ops, txns, seed, cores), self.params,
-                                    self.trace_dir)))
+            task_id = "sim:%s/%s@%dx%d#%d/c%d" % (
+                workload, mode, scale.ops_per_txn, scale.txns, scale.seed,
+                scale.cores)
+            configs = tuple(job.spec.configuration for job in jobs)
+            tasks.append((task_id, (KIND_SIMULATE, (
+                workload, configs, scale, self.params, self.trace_dir))))
             jobmap[task_id] = jobs
         return tasks, jobmap
 
@@ -392,11 +364,12 @@ class Scheduler:
         loop = asyncio.get_running_loop()
 
         def on_result(task_id: str, value) -> None:
-            # Called on the dispatch thread as each group completes;
-            # marshal completion onto the loop so job state and metrics
-            # stay single-threaded.
-            loop.call_soon_threadsafe(self._complete_group,
-                                      jobmap[task_id], value)
+            # Called on the dispatch thread as each group completes:
+            # persist here, then marshal only the job-state transitions
+            # onto the loop so job state and metrics stay single-threaded.
+            jobs = jobmap[task_id]
+            self._persist_group(jobs, value)
+            loop.call_soon_threadsafe(self._complete_group, jobs, value)
 
         def run() -> object:
             return run_supervised(tasks, _execute_task, config,
@@ -409,21 +382,25 @@ class Scheduler:
                              "; ".join(group_report.failure_causes) or
                              "group failed")
 
+    def _persist_group(self, jobs: List[Job], value) -> None:
+        """Write one finished group to the result/report cache (dispatch
+        thread), so an interrupted service resumes from it."""
+        for job in jobs:
+            if job.spec.kind == KIND_SIMULATE and self.store is not None:
+                self.store.store(result_cache_key(job.spec, self.params),
+                                 value[job.spec.config])
+            elif (job.spec.kind == KIND_OPTIMIZE
+                    and self.report_store is not None):
+                self.report_store.store(
+                    optimize_cache_key(job.spec, self.params), value)
+
     def _complete_group(self, jobs: List[Job], value) -> None:
         for job in jobs:
             if job.spec.kind == KIND_SIMULATE:
-                result = value[job.spec.config]
-                job.result = result
-                if self.store is not None:
-                    self.store.store(result_cache_key(job.spec, self.params),
-                                     result)
+                job.result = value[job.spec.config]
                 self.metrics.simulations_run.inc()
             else:
                 job.result = value
-                if (job.spec.kind == KIND_OPTIMIZE
-                        and self.report_store is not None):
-                    self.report_store.store(
-                        optimize_cache_key(job.spec, self.params), value)
             job.transition(JobState.DONE)
             latency = job.latency_s
             self.metrics.note_outcome("done", latency)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.harness import CONFIGURATIONS, RunSummary, run_matrix
+from repro.harness.configs import configuration
 from repro.harness.experiments import APPLICATIONS
 from repro.harness.parallel import (
     resolve_workers,
@@ -91,6 +92,20 @@ class TestWorkerResolution:
     def test_default_is_cpu_count(self, monkeypatch):
         monkeypatch.delenv("REPRO_PARALLEL", raising=False)
         assert resolve_workers(None) >= 1
+
+    @pytest.mark.parametrize("raw", ["0", "1"])
+    def test_single_worker_env_runs_serial_without_caching(
+            self, monkeypatch, tmp_path, raw):
+        monkeypatch.setenv("REPRO_PARALLEL", raw)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        run_matrix(["update"], [configuration("B")], TEST_SCALE)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("raw", ["-1", "lots"])
+    def test_run_matrix_rejects_bad_env(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_PARALLEL", raw)
+        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
+            run_matrix(["update"], [configuration("B")], TEST_SCALE)
 
 
 class TestRunSummary:
