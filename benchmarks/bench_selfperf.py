@@ -2,10 +2,8 @@
 
 Unlike the other benches, this one measures the reproduction itself rather
 than the paper's claims: simulator throughput in retired kilo-instructions
-per second (kIPS), trace-build throughput in built kilo-instructions per
-second (the threaded-code interpreter vs the reference interpreter, and
-the workload build path), serial-vs-parallel full-matrix wall time, and
-the persistent result and trace caches' cold/warm behaviour.  The numbers
+per second (kIPS), serial-vs-parallel full-matrix wall time, and the
+persistent result and trace caches' cold/warm behaviour.  The numbers
 land in the BENCH JSON (``benchmark.extra_info``) so the performance
 trajectory is tracked across commits.
 
@@ -33,8 +31,6 @@ from repro.harness.configs import DEFAULT_PARAMS, configuration
 from repro.harness.parallel import resolve_workers, run_matrix_parallel
 from repro.harness.runner import run_matrix, warm_hierarchy
 from repro.harness.trace_cache import TraceCache
-from repro.isa.assembler import assemble
-from repro.isa.machine import Machine
 from repro.memory.controller import MemoryController
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.core import OutOfOrderCore
@@ -130,157 +126,6 @@ def test_selfperf_single_run_kips(benchmark):
           % (len(timings), best, kips))
     assert stats.retired == len(built.trace)
     assert kips > 0
-
-
-#: Representative hand-written kernel for interpreter throughput: the mix
-#: (ALU, load, store, stp, persist, compare, branch) of the paper's
-#: undo-logging loops.
-_BUILD_KERNEL = """
-    mov x0, #4096
-    mov x1, #0
-    mov x5, #0
-loop:
-    str x1, [x0]
-    ldr x2, [x0]
-    add x5, x5, x2
-    stp x1, x2, [x0, #8]
-    dc cvap, x0
-    add x1, x1, #1
-    cmp x1, #%d
-    b.ne loop
-    halt
-"""
-
-
-def test_selfperf_trace_build_kips(benchmark):
-    """Trace-build throughput: threaded-code vs reference interpreter,
-    plus the workload (framework) build path, in built kIPS."""
-    scale = bench_scale()
-    iterations = max(500, scale.total_ops * 4)
-    program = assemble(_BUILD_KERNEL % iterations)
-    max_steps = 16 * iterations + 16
-
-    def best_of(fn, rounds=3):
-        timings = []
-        result = None
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = fn()
-            timings.append(time.perf_counter() - start)
-        return min(timings), result
-
-    def run():
-        ref_s, ref_trace = best_of(
-            lambda: Machine().run_reference(program, max_steps=max_steps))
-        thr_s, thr_trace = best_of(
-            lambda: Machine().run(program, max_steps=max_steps))
-        assert thr_trace == ref_trace  # bit-identical traces
-        build_s, built = best_of(
-            lambda: workload_base.build("btree", "ede", scale))
-        return ref_s, thr_s, len(ref_trace), build_s, len(built.trace)
-
-    ref_s, thr_s, trace_len, build_s, wl_trace_len = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-
-    speedup = ref_s / thr_s if thr_s else float("inf")
-    ref_kips = trace_len / ref_s / 1e3
-    thr_kips = trace_len / thr_s / 1e3
-    build_kips = wl_trace_len / build_s / 1e3
-    benchmark.extra_info["interp_trace_len"] = trace_len
-    benchmark.extra_info["interp_reference_kips"] = round(ref_kips, 1)
-    benchmark.extra_info["interp_threaded_kips"] = round(thr_kips, 1)
-    benchmark.extra_info["interp_speedup"] = round(speedup, 2)
-    benchmark.extra_info["workload_build_kips"] = round(build_kips, 1)
-    benchmark.extra_info["workload_trace_len"] = wl_trace_len
-    _record(trace_build_kips=round(thr_kips, 1),
-            interp_speedup=round(speedup, 2))
-
-    print_header("Self-perf: trace-build throughput (threaded-code interpreter)")
-    print("  kernel trace      : %d instructions" % trace_len)
-    print("  reference interp  : %.3f s  ->  %.1f kIPS" % (ref_s, ref_kips))
-    print("  threaded interp   : %.3f s  ->  %.1f kIPS  (%.2fx)"
-          % (thr_s, thr_kips, speedup))
-    print("  workload build    : %.3f s  ->  %.1f kIPS (btree/ede, framework)"
-          % (build_s, build_kips))
-    assert speedup >= 2.0, (
-        "threaded-code interpreter below the 2x trace-build target: %.2fx"
-        % speedup)
-
-
-#: ALU-weighted loop for the fusion measurement.  Fusion's win scales with
-#: straight-line run length and ALU density (memory handlers dominate the
-#: fused body otherwise), so this mirrors the checksum/compare portions of
-#: the workloads rather than the store-heavy logging portions.
-_FUSION_KERNEL = """
-    mov x0, #4096
-    mov x1, #0
-    mov x5, #0
-loop:
-    add x2, x1, #3
-    eor x3, x2, x1
-    lsl x4, x2, #2
-    orr x5, x5, x3
-    and x6, x4, #255
-    sub x7, x6, x1
-    add x5, x5, x7
-    str x5, [x0]
-    add x1, x1, #1
-    cmp x1, #%d
-    b.ne loop
-    halt
-"""
-
-
-def test_selfperf_fusion_speedup(benchmark):
-    """Superinstruction fusion vs plain threaded code, bit-identical and
-    at least 1.3x on the ALU-weighted kernel (the CI perf gate)."""
-    scale = bench_scale()
-    iterations = max(500, scale.total_ops * 4)
-    program = assemble(_FUSION_KERNEL % iterations)
-    max_steps = 16 * iterations + 16
-
-    def best_of(fn, rounds=3):
-        timings = []
-        result = None
-        for _ in range(rounds):
-            start = time.perf_counter()
-            result = fn()
-            timings.append(time.perf_counter() - start)
-        return min(timings), result
-
-    def timed(value):
-        os.environ["REPRO_FUSION"] = value
-        try:
-            return best_of(
-                lambda: Machine().run(program, max_steps=max_steps))
-        finally:
-            os.environ.pop("REPRO_FUSION", None)
-
-    def run():
-        plain_s, plain_trace = timed("0")
-        fused_s, fused_trace = timed("1")
-        assert fused_trace == plain_trace  # bit-identical traces
-        return plain_s, fused_s, len(plain_trace)
-
-    plain_s, fused_s, trace_len = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-
-    speedup = plain_s / fused_s if fused_s else float("inf")
-    plain_kips = trace_len / plain_s / 1e3
-    fused_kips = trace_len / fused_s / 1e3
-    benchmark.extra_info["fusion_trace_len"] = trace_len
-    benchmark.extra_info["fusion_off_kips"] = round(plain_kips, 1)
-    benchmark.extra_info["fusion_on_kips"] = round(fused_kips, 1)
-    benchmark.extra_info["fusion_speedup"] = round(speedup, 2)
-    _record(fusion_speedup=round(speedup, 2))
-
-    print_header("Self-perf: superinstruction fusion (REPRO_FUSION)")
-    print("  kernel trace : %d instructions" % trace_len)
-    print("  fusion off   : %.3f s  ->  %.1f kIPS" % (plain_s, plain_kips))
-    print("  fusion on    : %.3f s  ->  %.1f kIPS  (%.2fx)"
-          % (fused_s, fused_kips, speedup))
-    assert speedup >= 1.3, (
-        "superinstruction fusion below the 1.3x gate: %.2fx" % speedup)
 
 
 def test_selfperf_trace_cache_cold_vs_warm(benchmark):

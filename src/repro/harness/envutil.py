@@ -143,12 +143,10 @@ def describe_env() -> Tuple[EnvKnob, ...]:
                 "Benchmark scale: operations per transaction."),
         EnvKnob("REPRO_BENCH_TXNS", "positive_int", "20",
                 "Benchmark scale: transaction count."),
-        EnvKnob("REPRO_FUSION", "flag", "1",
-                "Superinstruction fusion in the functional machine "
-                "(codegen'd basic-block handlers) on/off."),
         EnvKnob("REPRO_CORES", "positive_int", "2",
                 "Core count for the multi-core hazard-pointer "
-                "experiment (capped by the modeled maximum)."),
+                "experiment; values above the modeled maximum of 8 "
+                "raise ValueError."),
         EnvKnob("REPRO_INTERLEAVE", "str", "round_robin",
                 "Multi-core build interleaver policy: round_robin or "
                 "weighted."),
