@@ -3,10 +3,11 @@
 Like :mod:`benchmarks.bench_selfperf` this measures the reproduction
 itself rather than the paper's claims: the lockstep N-core driver's
 throughput in retired kilo-instructions per second on the contended
-lock-protected counter at 1, 2 and 4 cores, and the N=1 overhead of the
-lockstep driver against the classic single-core loop.  The numbers land
-in the BENCH JSON (``benchmark.extra_info``) so the multi-core
-performance trajectory is tracked across commits.
+lock-protected counter at 1, 2 and 4 cores, and the N=1 cost of the
+multi-core entry point (``simulate_built``) against
+``OutOfOrderCore.run``.  The numbers land in the BENCH JSON
+(``benchmark.extra_info``) so the multi-core performance trajectory is
+tracked across commits.
 
 Scale control: ``REPRO_BENCH_OPS`` / ``REPRO_BENCH_TXNS`` as in
 :mod:`benchmarks.common`; CI runs this at a tiny scale as a smoke test.
@@ -145,11 +146,13 @@ def test_multicore_scaling_kips(benchmark):
 
 
 def test_multicore_lockstep_overhead(benchmark):
-    """N=1 through the lockstep driver vs the classic single-core loop.
+    """N=1 through ``simulate_built`` vs ``OutOfOrderCore.run``.
 
-    The two paths are pinned bit-identical by the determinism suite; this
-    measures what the lockstep clock costs in wall time (the overhead the
-    runner avoids by only routing ``cores > 1`` builds through the driver).
+    Both run the one engine under the one clock
+    (:func:`repro.pipeline.core.drive`) and are pinned bit-identical by
+    the determinism suite; this measures what the multi-core entry point
+    adds around it in wall time (the cost the runner avoids by only
+    routing ``cores > 1`` builds through it).
     """
     config = configuration(SWEEP_CONFIG)
     built = workload_base.build(SWEEP_WORKLOAD, config.fence_mode, _scaled(1))
@@ -163,7 +166,7 @@ def test_multicore_lockstep_overhead(benchmark):
         hierarchy = CacheHierarchy(controller, DEFAULT_PARAMS.hierarchy)
         warm_hierarchy(hierarchy, built)
         core = OutOfOrderCore(built.trace, hierarchy, config.policy,
-                              DEFAULT_PARAMS.core, replay=False)
+                              DEFAULT_PARAMS.core)
         return core.run()
 
     def best_of(fn, rounds=3):
@@ -192,10 +195,10 @@ def test_multicore_lockstep_overhead(benchmark):
     benchmark.extra_info["lockstep_overhead"] = round(overhead, 2)
     _record(lockstep_overhead=round(overhead, 2))
 
-    print_header("Multi-core: lockstep-driver overhead at N=1")
+    print_header("Multi-core: simulate_built overhead at N=1")
     print("  retired        : %d instructions" % retired)
-    print("  classic loop   : %.3f s" % classic_s)
-    print("  lockstep drive : %.3f s  (%.2fx)" % (lockstep_s, overhead))
+    print("  core.run       : %.3f s" % classic_s)
+    print("  simulate_built : %.3f s  (%.2fx)" % (lockstep_s, overhead))
 
 
 def test_multicore_repeat_run_bit_identity(benchmark):

@@ -19,10 +19,12 @@ pipeline:
   cache lines (remote-dirty demotion on load, remote invalidation on
   store/clean).
 - :mod:`repro.multicore.core` — :class:`~repro.multicore.core.CoherentCore`,
-  the per-core pipeline subclass wired to the bus.
-- :mod:`repro.multicore.system` — the lockstep driver: one global clock,
-  every core stepped per cycle in core-id order, deterministic
-  fast-forward over idle gaps.
+  the per-core pipeline subclass that wires the engine's two multi-core
+  hooks (EDE dispatch, WAIT retire) to the bus.
+- :mod:`repro.multicore.system` — builds the N-core machine and runs it
+  under :func:`repro.pipeline.core.drive`, the one clock: every core's
+  engine resumed per cycle in core-id order, deterministic fast-forward
+  over idle gaps.
 
 Determinism is the contract: a (seed, core count) pair yields bit-identical
 stats/visibility/persist-log digests across repeated runs, and N=1 reduces

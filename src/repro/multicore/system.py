@@ -1,20 +1,20 @@
-"""Lockstep N-core driver: one global clock over N pipelines.
+"""N-core machines: one global clock over N coherent pipelines.
 
-The driver owns the clock.  Every cycle it sets each live core's ``now``
-and calls :meth:`~repro.pipeline.core.OutOfOrderCore.step_cycle` in
-ascending core-id order — the deterministic total order underneath every
-cross-core interaction (bus publishes, coherence probes, controller
-traffic).  When no core makes progress, time fast-forwards to the
-earliest scheduled event across all live cores, charging the skipped
-cycles to each live core's zero-issue histogram bucket exactly as the
-single-core loop does.  Both single-core watchdogs (cycle budget,
-no-retire limit) apply to the whole machine.
+:func:`simulate_built` builds one :class:`~repro.multicore.core.CoherentCore`
+per core trace, over per-core
+:class:`~repro.multicore.coherence.CoherentHierarchy` instances that share
+one memory controller and coherence directory, plus the
+:class:`~repro.multicore.edm_bus.SharedEdmBus`.  It runs them under
+:func:`repro.pipeline.core.drive`, the same clock every single-core run
+uses: each cycle resumes every live core's engine in ascending core-id
+order — the deterministic total order underneath every cross-core
+interaction (bus publishes, coherence probes, controller traffic) — and
+idle stretches fast-forward to the earliest event across the cores.
 
-At N=1 the driver runs a plain :class:`~repro.pipeline.core.OutOfOrderCore`
-on a plain :class:`~repro.memory.hierarchy.CacheHierarchy` — no bus, no
-coherence directory — and its per-cycle schedule is exactly the legacy
-loop's, so results are bit-identical to the single-core pipeline (which
-is itself pinned bit-identical to the fused replay path).
+At N=1 it runs a plain :class:`~repro.pipeline.core.OutOfOrderCore` on a
+plain :class:`~repro.memory.hierarchy.CacheHierarchy` — no bus, no
+coherence directory — so results are bit-identical to the single-core
+runner.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import dataclasses
 from typing import List, Optional
 
 from repro.memory.controller import MemoryController
-from repro.memory.hierarchy import CacheHierarchy
+from repro.memory.hierarchy import CacheHierarchy, warm_hierarchy
 from repro.multicore import knobs
 from repro.multicore.coherence import CoherenceDirectory, CoherentHierarchy
 from repro.multicore.core import CoherentCore
 from repro.multicore.edm_bus import SharedEdmBus
-from repro.pipeline.core import OutOfOrderCore, SimulationError
+from repro.pipeline.core import OutOfOrderCore, drive
+from repro.pipeline.replay import core_meta_for, meta_for
 from repro.pipeline.stats import PipelineStats
 
 
@@ -81,66 +82,6 @@ def _merge_visibility(cores: List[OutOfOrderCore]) -> List[tuple]:
     return [item[3] for item in tagged]
 
 
-def _warm(hierarchy: CacheHierarchy, built) -> None:
-    # Same warming as harness.runner.warm_hierarchy (not imported: the
-    # runner imports this module lazily and a top-level import would cycle).
-    for line in built.warm_lines(hierarchy.params.line_size):
-        for cache in (hierarchy.l3, hierarchy.l2, hierarchy.l1d):
-            cache.insert(line)
-
-
-def drive(cores: List[OutOfOrderCore],
-          max_cycles: int = 500_000_000,
-          no_retire_limit: Optional[int] = None) -> None:
-    """Lockstep the cores under one clock until every core halts."""
-    if no_retire_limit is None:
-        no_retire_limit = cores[0].params.watchdog_no_retire
-    now = 0
-    last_retire = 0
-    live = [core for core in cores if not core._halted]
-    while live:
-        if now > max_cycles:
-            raise SimulationError("\n".join(
-                core._stuck_report(
-                    "exceeded the %d-cycle budget" % max_cycles)
-                for core in live))
-        retired_before = sum(core.stats.retired for core in live)
-        progress = 0
-        for core in live:
-            core.now = now
-            progress += core.step_cycle()
-        retired = sum(core.stats.retired for core in live) - retired_before
-        if retired:
-            last_retire = now
-        elif no_retire_limit and now - last_retire > no_retire_limit:
-            raise SimulationError("\n".join(
-                core._stuck_report(
-                    "no instruction retired for %d cycles "
-                    "(watchdog limit %d)" % (now - last_retire,
-                                             no_retire_limit))
-                for core in live))
-        live = [core for core in live if not core._halted]
-        if not live:
-            return
-        if progress:
-            now += 1
-            continue
-        pending = [core.next_event_cycle() for core in live]
-        pending = [cycle for cycle in pending if cycle is not None]
-        if not pending:
-            raise SimulationError("\n".join(
-                core._stuck_report(
-                    "machine deadlock (no core progressed, "
-                    "nothing scheduled)")
-                for core in live))
-        target = min(pending)
-        skipped = target - now - 1
-        if skipped > 0:
-            for core in live:
-                core.stats.record_issue_cycles(0, skipped)
-        now = target
-
-
 def simulate_built(built, config, params, warm: bool = True,
                    max_cycles: int = 500_000_000) -> MulticoreResult:
     """Simulate a built workload on ``built.cores`` coherent cores."""
@@ -153,9 +94,9 @@ def simulate_built(built, config, params, warm: bool = True,
     if cores_n == 1:
         hierarchy = CacheHierarchy(controller, params.hierarchy)
         if warm:
-            _warm(hierarchy, built)
+            warm_hierarchy(hierarchy, built)
         core = OutOfOrderCore(built.trace, hierarchy, config.policy,
-                              params.core, replay=False)
+                              params.core, replay=meta_for(built))
         drive([core], max_cycles=max_cycles)
         return MulticoreResult(
             cores=1,
@@ -173,9 +114,10 @@ def simulate_built(built, config, params, warm: bool = True,
         hierarchy = CoherentHierarchy(controller, params.hierarchy,
                                       directory, core_id)
         if warm:
-            _warm(hierarchy, built)
+            warm_hierarchy(hierarchy, built)
         cores.append(CoherentCore(core_id, bus, built.core_traces[core_id],
-                                  hierarchy, config.policy, params.core))
+                                  hierarchy, config.policy, params.core,
+                                  replay=core_meta_for(built, core_id)))
     drive(cores, max_cycles=max_cycles)
     core_stats = [core.stats for core in cores]
     return MulticoreResult(

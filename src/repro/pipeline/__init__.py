@@ -1,6 +1,6 @@
 """The out-of-order core timing model (Arm A72-like, Table I)."""
 
-from repro.pipeline.core import OutOfOrderCore, SimulationError
+from repro.pipeline.core import OutOfOrderCore, SimulationError, drive
 from repro.pipeline.dyninst import DynInst
 from repro.pipeline.params import CLOCK_GHZ, CoreParams, ns_to_cycles
 from repro.pipeline.stats import PipelineStats
@@ -14,5 +14,6 @@ __all__ = [
     "PipelineStats",
     "SimulationError",
     "WriteBuffer",
+    "drive",
     "ns_to_cycles",
 ]

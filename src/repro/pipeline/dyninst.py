@@ -95,100 +95,43 @@ class DynInst:
         "result_regs", "producer_keys", "exec_kind", "ede_keys",
     )
 
-    def __init__(self, seq: int, inst: Optional[Instruction],
-                 row: Optional[tuple] = None):
-        if row is not None:
-            # Replay fast path: every static fact was precomputed into one
-            # packed row (see repro.pipeline.replay) — a single tuple unpack
-            # replaces classification, word splitting and retire-class
-            # lookup.  The row's epoch tags are valid because the fast path
-            # never rewinds the front end (no squash injection).
-            self.seq = seq
-            (self.inst, self.opcode,
-             self.is_load, self.is_store, self.is_writeback,
-             self.is_store_class, self.is_memory, self.is_barrier,
-             self.is_branch, self.is_ede,
-             _enters_iq, self.needs_write_buffer, self.is_wait,
-             self.retire_class, self.addr, self.size, self.words,
-             self.producer_keys, self.exec_kind,
-             self.store_epoch, self.mem_epoch, self.result_regs,
-             _src_regs, _dst_regs, _is_dsb, _is_halt,
-             _consumer_keys, self.ede_keys) = row
-            self.regs_outstanding = 0
-            self.e_deps_outstanding = None
-            self.src_ids = ()
-            self.dispatch_cycle = -1
-            self.issue_cycle = -1
-            self.execute_done_cycle = -1
-            self.retire_cycle = -1
-            self.complete_cycle = -1
-            self.issued = False
-            self.executed = False
-            self.retired = False
-            self.completed = False
-            self.squashed = False
-            self.barrier_ready_cycle = -1
-            return
+    def __init__(self, seq: int, row: tuple):
+        """Build from one packed replay row (see repro.pipeline.replay).
+
+        Every static fact was precomputed into the row, so a single tuple
+        unpack replaces classification, word splitting and retire-class
+        lookup.  The row's DMB epoch tags are static; after a squash the
+        core adds the number of DMBs flushed so far to them (a refetch
+        dispatches those DMBs again).
+        """
         self.seq = seq
-        self.inst = inst
-        opcode = inst.opcode
-        self.opcode = opcode
-        (self.is_load, self.is_store, self.is_writeback, self.is_store_class,
-         self.is_memory, self.is_barrier, self.is_branch, self.is_ede,
-         _enters_iq) = CLASSIFICATION_BY_OPCODE[opcode]
-        addr = inst.addr
-        self.addr = addr
-        self.size = inst.size
-
-        #: 8-byte-aligned words this memory op touches (for forwarding).
-        if addr is None:
-            self.words: Tuple[int, ...] = ()
-        else:
-            base = addr & ~7
-            end = addr + inst.size - 1
-            if base + 8 > end:
-                self.words = (base,)
-            else:
-                self.words = tuple(range(base, end + 1, 8))
-
-        #: Store-class instructions and JOIN occupy a write-buffer entry.
-        self.needs_write_buffer = (
-            self.is_store_class or opcode is Opcode.JOIN)
-        self.is_wait = opcode in (Opcode.WAIT_KEY, Opcode.WAIT_ALL_KEYS)
-        self.retire_class = _RETIRE_CLASS.get(opcode, RETIRE_NORMAL)
-
+        (self.inst, self.opcode,
+         self.is_load, self.is_store, self.is_writeback,
+         self.is_store_class, self.is_memory, self.is_barrier,
+         self.is_branch, self.is_ede,
+         _enters_iq, self.needs_write_buffer, self.is_wait,
+         self.retire_class, self.addr, self.size, self.words,
+         self.producer_keys, self.exec_kind,
+         self.store_epoch, self.mem_epoch, self.result_regs,
+         _src_regs, _dst_regs, _is_dsb, _is_halt,
+         _consumer_keys, self.ede_keys) = row
         self.regs_outstanding = 0
         #: Producer seqs this instruction still waits on (IQ enforcement).
         #: Allocated lazily — most instructions never carry e-deps.
         self.e_deps_outstanding: Optional[Set[int]] = None
         #: Producer seqs carried to the write buffer (WB enforcement).
         self.src_ids: Tuple[int, ...] = ()
-
         self.dispatch_cycle = -1
         self.issue_cycle = -1
         self.execute_done_cycle = -1
         self.retire_cycle = -1
         self.complete_cycle = -1
-
         self.issued = False
         self.executed = False
         self.retired = False
         self.completed = False
         self.squashed = False
-
-        self.store_epoch = 0
-        self.mem_epoch = 0
         self.barrier_ready_cycle = -1
-
-        #: Registers whose value this instruction produces.
-        self.result_regs: Tuple[int, ...] = inst.dst
-        #: EDKs this instruction produces (cleared on completion).
-        self.producer_keys: Tuple[int, ...] = producer_keys_of(inst)
-        #: Functional-unit class for issue (EXEC_* constants).
-        self.exec_kind = exec_kind_of(opcode)
-        #: Unique EDKs carried into the write buffer (Section V-D counters).
-        self.ede_keys: Tuple[int, ...] = (
-            ede_keys_of(inst) if self.is_ede else ())
 
     def touched_words(self) -> List[int]:
         """8-byte-aligned words this memory op touches (for forwarding)."""

@@ -1,26 +1,22 @@
-"""Packed per-instruction replay metadata (the trace-replay fast path).
+"""Packed per-instruction replay metadata (the engine's dispatch rows).
 
 The timing core is trace-driven: the functional front end has already
 resolved every effective address, so every *static* per-instruction fact
 — classification flags, retire class, touched words, producer EDKs, DMB
 epoch tags — is a function of the trace alone, not of the simulation.
-The legacy dispatch stage nevertheless re-derived all of it per
-:class:`~repro.pipeline.dyninst.DynInst`, once for each of the
-(typically five) configurations that replay the same trace.
 
-:class:`TraceMeta` hoists that work into a single prepass: one packed
+:class:`TraceMeta` computes all of it in a single prepass: one packed
 row (a plain tuple — tuple indexing beats attribute lookups in the hot
-loop) per trace index, computed once per built workload and shared by
-every subsequent simulation of that trace.  ``DynInst`` gains a
-row-based constructor that replaces classification with one tuple
-unpack, and :class:`~repro.pipeline.core.OutOfOrderCore` drives its
-fused dispatch loop straight off the rows.
+loop) per trace index, computed once per built workload (per core of a
+multi-core build) and shared by every simulation of that trace.  The
+engine of :class:`~repro.pipeline.core.OutOfOrderCore` dispatches
+straight off the rows, and :class:`~repro.pipeline.dyninst.DynInst` is
+built from one row.
 
-The DMB epoch tags in rows are static only while the front end never
-rewinds: a squash refetch re-dispatches the flushed DMBs and re-bumps
-the dynamic epoch counters.  The core therefore falls back to the
-legacy (reference) loop whenever squash injection is configured, and
-the fast path carries no squash handling at all.
+The DMB epoch tags in rows assume the front end never rewinds.  A squash
+refetch dispatches the flushed DMBs a second time, so after a squash the
+core adds the number of DMBs flushed so far to each row's epoch tags —
+exactly the offset a dynamic epoch counter would carry.
 
 Row layout (index constants below)::
 
@@ -37,7 +33,7 @@ Row layout (index constants below)::
 from __future__ import annotations
 
 import weakref
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.isa.instructions import CLASSIFICATION_BY_OPCODE, Instruction
 from repro.isa.opcodes import Opcode
@@ -159,12 +155,32 @@ class TraceMeta:
 # Per-BuiltWorkload memoization.  BuiltWorkload is an eq=True dataclass and
 # therefore unhashable, so the cache is keyed by id() with a weakref
 # validity check (a dead or recycled id can never serve stale rows) and a
-# finalizer that evicts the entry when the workload is collected.
+# finalizer that evicts the entry when the workload is collected.  Each
+# entry maps a core id (``None`` for the single-core trace) to its rows.
 _META_BY_ID: dict = {}
 
 
 def _evict(key: int) -> None:
     _META_BY_ID.pop(key, None)
+
+
+def _memoized(built, core, trace) -> TraceMeta:
+    key = id(built)
+    cached = _META_BY_ID.get(key)
+    if cached is not None and cached[0]() is built:
+        metas = cached[1]
+    else:
+        metas = {}
+        try:
+            ref = weakref.ref(built)
+            weakref.finalize(built, _evict, key)
+        except TypeError:
+            return TraceMeta(trace)  # not weakref-able: never cache
+        _META_BY_ID[key] = (ref, metas)
+    meta = metas.get(core)
+    if meta is None:
+        meta = metas[core] = TraceMeta(trace)
+    return meta
 
 
 def meta_for(built) -> TraceMeta:
@@ -174,17 +190,10 @@ def meta_for(built) -> TraceMeta:
     configuration replaying the same trace (five per fence mode in the
     paper matrix) shares the rows.
     """
-    key = id(built)
-    cached = _META_BY_ID.get(key)
-    if cached is not None:
-        ref, meta = cached
-        if ref() is built:
-            return meta
-    meta = TraceMeta(built.trace)
-    try:
-        ref = weakref.ref(built)
-        weakref.finalize(built, _evict, key)
-    except TypeError:
-        return meta  # not weakref-able: never cache, never serve stale
-    _META_BY_ID[key] = (ref, meta)
-    return meta
+    return _memoized(built, None, built.trace)
+
+
+def core_meta_for(built, core_id: int) -> TraceMeta:
+    """Memoized :class:`TraceMeta` of one core's trace of a multi-core
+    build, shared by every configuration simulating that build."""
+    return _memoized(built, core_id, built.core_traces[core_id])

@@ -5,23 +5,35 @@ import dataclasses
 import pytest
 
 from repro.isa import instructions as ops
-from repro.pipeline.core import SimulationError
+from repro.memory.controller import MemoryController
+from repro.memory.hierarchy import CacheHierarchy
+from repro.pipeline.core import OutOfOrderCore, SimulationError
 from repro.pipeline.params import CoreParams
 
-from tests.pipeline.conftest import make_core
+from tests.pipeline.conftest import NVM, make_core
+
+#: Far beyond every watchdog limit and cycle budget used below (and the
+#: default 500M-cycle budget).
+NEVER = 10 ** 12
+
+
+class StallingHierarchy(CacheHierarchy):
+    """Test double: every load's data returns ``NEVER`` cycles later."""
+
+    def load(self, addr: int, cycle: int) -> int:
+        return cycle + NEVER
 
 
 def livelocked_core(params=CoreParams()):
-    """A core whose retire stage never drains but whose clock keeps
-    ticking: dispatch is suppressed after the first instruction enters
-    the ROB, and retirement is vetoed outright.  Events/stages still
-    report progress (dispatch returns 1), so the quiescence-based
-    deadlock detector never fires — only the watchdog can catch it."""
-    trace = [ops.nop() for _ in range(4)]
-    core, _ = make_core(trace, params=params)
-    core._retire_stage = lambda: 0
-    core._dispatch_stage = lambda: 1
-    return core
+    """A core whose ROB head never drains although an event is still
+    scheduled: the head is a load whose data return lies beyond the
+    watchdog limit and the cycle budget.  Because something is always
+    scheduled, the quiescence-based deadlock detector never fires — only
+    the watchdog (or, with it off, the budget) can catch it."""
+    trace = [ops.ldr(0, 1, addr=NVM)] + [ops.nop() for _ in range(4)]
+    trace.append(ops.halt())
+    return OutOfOrderCore(trace, StallingHierarchy(MemoryController()),
+                          params=params)
 
 
 class TestNoRetireWatchdog:

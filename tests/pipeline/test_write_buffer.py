@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa import instructions as ops
 from repro.pipeline.dyninst import DynInst
+from repro.pipeline.replay import build_rows
 from repro.pipeline.write_buffer import PUSHING, WriteBuffer
 
 
@@ -12,14 +13,14 @@ def store_dyn(seq, addr, src_ids=(), edk_def=0, edk_use=0, epoch=0):
         inst = ops.store_ede(1, 0, edk_def=edk_def, edk_use=edk_use, addr=addr)
     else:
         inst = ops.store(1, 0, addr=addr)
-    dyn = DynInst(seq, inst)
+    dyn = DynInst(seq, build_rows([inst])[0])
     dyn.src_ids = tuple(src_ids)
     dyn.store_epoch = epoch
     return dyn
 
 
 def join_dyn(seq, src_ids=(), edk_def=3):
-    dyn = DynInst(seq, ops.join(edk_def, 1, 2))
+    dyn = DynInst(seq, build_rows([ops.join(edk_def, 1, 2)])[0])
     dyn.src_ids = tuple(src_ids)
     return dyn
 
